@@ -1,8 +1,9 @@
 """E2/E3 — the Protocol Generator itself.
 
 Times the full pipeline (flatten, disable-normalize, number, attribute,
-check, derive-per-place, simplify) on the paper's examples and on
-parameter sweeps over place count and specification size.  The paper
+check, derive-per-place with the elimination laws applied as each node
+is built) on the paper's examples and on parameter sweeps over place
+count and specification size.  The paper
 reports only that its Prolog PG was "effective"; these benchmarks give
 the reproduction a concrete derivation-cost profile.
 """

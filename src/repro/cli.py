@@ -257,7 +257,10 @@ def _derive_body(args: argparse.Namespace, text: str) -> int:
         from repro.lotos.unparse import unparse
 
         raw_deriver = Deriver(
-            result.prepared, result.attrs, emit_sync=not args.naive
+            result.prepared,
+            result.attrs,
+            emit_sync=not args.naive,
+            allow_mixed_choice=args.mixed_choice,
         )
     for place in places:
         if place not in result.entities:

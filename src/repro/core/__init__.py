@@ -8,8 +8,9 @@ Pipeline (paper Section 4):
    (:mod:`repro.core.attributes`, Table 2);
 3. check the restrictions R1-R3 (:mod:`repro.core.restrictions`);
 4. apply the derivation function ``T_p`` for every place ``p``
-   (:mod:`repro.core.derivation`, Tables 3 and 4);
-5. eliminate ``empty`` fragments (:mod:`repro.core.simplify`).
+   (:mod:`repro.core.derivation`, Tables 3 and 4), eliminating
+   ``empty`` fragments as each node is built (the Section 4.2 laws of
+   :mod:`repro.core.simplify`).
 
 :mod:`repro.core.generator` packages the pipeline as the paper's
 "Protocol Generator (PG)".

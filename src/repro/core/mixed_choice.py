@@ -35,6 +35,10 @@ Properties (exercised by the tests):
 R2 (equal ending places) still applies.  The alternatives must be
 event-prefixed at their starting place (an alternative that *begins*
 with a process invocation would need the graft inside the process body).
+
+Like the rest of ``T_p``, every node built here above a leaf passes
+through the deriver's ``build`` hook (the Section 4.2 elimination laws,
+or the identity for :meth:`~repro.core.derivation.Deriver.derive_raw`).
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ def _one_shot(event) -> Behaviour:
 def derive_mixed_choice(deriver: "Deriver", p: int, node: Choice) -> Behaviour:
     """``T_p`` for a two-starter choice, arbiter protocol included."""
     attrs = deriver.attrs
+    build = deriver.build
     (arbiter,) = attrs.sp(node.left)
     (requester,) = attrs.sp(node.right)
     nid = node.nid
@@ -82,66 +87,69 @@ def derive_mixed_choice(deriver: "Deriver", p: int, node: Choice) -> Behaviour:
     left_projection = deriver.transform(p, node.left)
     right_projection = deriver.transform(p, node.right)
 
+    # The checks look at the service alternative, not at its projection:
+    # under the elimination laws a projection can collapse to a prefix
+    # that Table 3 alone would not produce.
     if p == arbiter:
-        if not isinstance(left_projection, ActionPrefix):
+        if not isinstance(node.left, ActionPrefix):
             raise DerivationError(
                 "mixed choice requires the arbiter's alternative to begin "
                 "with its own event (event-prefixed Seq)"
             )
         deriver._log("mixed-choice", nid, p, "send", {requester})
-        deny_exchange = Enable(
+        deny_exchange = build(Enable(
             _one_shot(ReceiveAction(src=requester, message=req)),
             _one_shot(SendAction(dest=requester, message=deny)),
-        )
+        ))
         # a; (recv req >> send deny >> rest-of-e1)
         win_branch = ActionPrefix(
             left_projection.event,
-            Enable(deny_exchange, left_projection.continuation),
+            build(Enable(deny_exchange, left_projection.continuation)),
         )
-        win_branch = Enable(
+        win_branch = build(Enable(
             win_branch, deriver._alternative_excluding(p, node.left, node.right, requester)
-        )
-        grant_exchange = Enable(
+        ))
+        grant_exchange = build(Enable(
             _one_shot(ReceiveAction(src=requester, message=req)),
             _one_shot(SendAction(dest=requester, message=grant)),
-        )
-        lose_branch = Enable(grant_exchange, right_projection)
-        return Choice(win_branch, lose_branch)
+        ))
+        lose_branch = build(Enable(grant_exchange, right_projection))
+        return build(Choice(win_branch, lose_branch))
 
     if p == requester:
-        if not isinstance(right_projection, ActionPrefix):
+        if not isinstance(node.right, ActionPrefix):
             raise DerivationError(
                 "mixed choice requires the requester's alternative to begin "
                 "with its own event (event-prefixed Seq)"
             )
         deriver._log("mixed-choice", nid, p, "send", {arbiter})
-        granted = Enable(
+        granted = build(Enable(
             _one_shot(ReceiveAction(src=arbiter, message=grant)),
-            Enable(
+            build(Enable(
                 ActionPrefix(
                     right_projection.event, right_projection.continuation
                 ),
                 deriver._alternative_excluding(p, node.right, node.left, arbiter),
-            ),
-        )
-        denied = Enable(
+            )),
+        ))
+        denied = build(Enable(
             _one_shot(ReceiveAction(src=arbiter, message=deny)),
             left_projection,
-        )
-        return Enable(
+        ))
+        return build(Enable(
             _one_shot(SendAction(dest=arbiter, message=req)),
-            Choice(granted, denied),
-        )
+            build(Choice(granted, denied)),
+        ))
 
     # Everyone else: standard rule 14, except that the starters handle
     # their own notifications through grant/deny.
-    return Choice(
-        Enable(
+    return build(Choice(
+        build(Enable(
             left_projection,
             deriver._alternative_excluding(p, node.left, node.right, requester),
-        ),
-        Enable(
+        )),
+        build(Enable(
             right_projection,
             deriver._alternative_excluding(p, node.right, node.left, arbiter),
-        ),
-    )
+        )),
+    ))

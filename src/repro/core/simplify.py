@@ -2,7 +2,7 @@
 
 The derivation rules of Table 3 splice ``empty`` strings wherever a
 synchronization function has nothing to contribute for the current place.
-The paper removes them with the laws::
+The paper removes them, in a second pass, with the laws::
 
     empty ; e   = e          (realized structurally: the projection rules
                               never build a prefix with an empty event)
@@ -23,6 +23,15 @@ shows the law applied.
 
 The choice laws ``e [] e = e`` (C3) and ``empty [] empty = empty`` tidy
 the places that participate in neither alternative.
+
+:func:`simplify_node` is the one place the laws are written.
+:meth:`repro.core.derivation.Deriver.derive` applies it to every node
+``T_p`` builds, as soon as the node's children are final, so a derived
+entity comes out already simplified and no second pass is made.
+:func:`simplify` and :func:`simplify_spec` are that second pass, kept
+as the reference: the output of
+:meth:`~repro.core.derivation.Deriver.derive_raw` (Table 3 verbatim)
+reduces under them to exactly what ``derive`` returns.
 """
 
 from __future__ import annotations
@@ -44,16 +53,20 @@ from repro.lotos.syntax import (
 
 
 def simplify(node: Behaviour) -> Behaviour:
-    """Bottom-up application of the elimination laws."""
+    """Bottom-up application of the elimination laws to a whole tree."""
     children = node.children()
     if children:
         new_children = tuple(simplify(child) for child in children)
         if any(new is not old for new, old in zip(new_children, children)):
             node = node.with_children(new_children)
-    return _simplify_top(node)
+    return simplify_node(node)
 
 
-def _simplify_top(node: Behaviour) -> Behaviour:
+def simplify_node(node: Behaviour) -> Behaviour:
+    """The elimination laws at the root of ``node`` only.
+
+    ``node``'s children must already be simplified; the result then is.
+    """
     if isinstance(node, Enable):
         if isinstance(node.left, Empty):
             return node.right

@@ -11,7 +11,7 @@ The last test pins that limitation down.
 import pytest
 
 from repro.core.generator import derive_protocol
-from repro.errors import RestrictionViolation
+from repro.errors import DerivationError, RestrictionViolation
 from repro.lotos.events import SyncMessage
 from repro.lotos.semantics import Semantics
 from repro.lotos.traces import weak_trace_equivalent
@@ -47,6 +47,19 @@ class TestAdmission:
                 "SPEC (a1; x3; exit) [] (b2; y2; exit) ENDSPEC",
                 mixed_choice=True,
             )
+
+    @pytest.mark.parametrize(
+        "text, role",
+        [
+            ("SPEC ((a1; c3; exit) ||| exit) [] (b2; d3; exit) ENDSPEC", "arbiter"),
+            ("SPEC (a1; c3; exit) [] ((b2; d3; exit) ||| exit) ENDSPEC", "requester"),
+        ],
+    )
+    def test_starter_alternative_must_be_event_prefixed(self, text, role):
+        # The starter's projection simplifies to a prefix (B ||| exit = B),
+        # but the service alternative itself is not one.
+        with pytest.raises(DerivationError, match=f"the {role}'s alternative"):
+            derive_protocol(text, mixed_choice=True)
 
     def test_common_starter_uses_the_standard_rule(self):
         # R1-conforming choices must be untouched by the flag.

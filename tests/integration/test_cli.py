@@ -140,6 +140,20 @@ class TestCliExtensions:
         out = capsys.readouterr().out
         assert "grant" in out
 
+    def test_raw_output_honours_mixed_choice(self, tmp_path, capsys):
+        path = tmp_path / "mixed.lotos"
+        path.write_text("SPEC (a1; b3; exit) [] (c2; d3; exit) ENDSPEC")
+        argv = [str(path), "--mixed-choice", "--place", "1"]
+        assert main(argv + ["--raw"]) == 0
+        raw = capsys.readouterr().out
+        # the arbiter protocol, not the rule-14 notifications s2(2)/r2(5)
+        for message in ("r2(req,1)", "s2(deny,1)", "s2(grant,1)", "empty"):
+            assert message in raw
+        assert "s2(2)" not in raw and "r2(5)" not in raw
+        assert main(argv) == 0
+        simplified = capsys.readouterr().out
+        assert "s2(grant,1)" in simplified and "empty" not in simplified
+
     def test_parameters_flag(self, tmp_path, capsys):
         path = tmp_path / "params.lotos"
         path.write_text("SPEC read1(rec); push2(rec); exit ENDSPEC")
