@@ -53,6 +53,20 @@ def test_verify_pipeline(benchmark, places):
     benchmark(run)
 
 
+def test_verify_pipeline_exact_mid_size(benchmark):
+    """A mid-size exact check (527 compressed system states): unlike the
+    few-dozen-state cases above, equivalence is a large share of it."""
+    result = derive_protocol(workloads.pipeline(6, 2))
+
+    def run():
+        report = verify_derivation(result)
+        assert report.method == "weak-bisimulation"
+        assert report.equivalent and report.congruent
+        return report
+
+    benchmark(run)
+
+
 def test_system_lts_construction(benchmark, example3_result):
     def run():
         system = build_system(

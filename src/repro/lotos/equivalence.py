@@ -11,12 +11,19 @@ partition refinement:
 
 all between two finite, complete LTSs.  Bounded comparison of
 infinite-state systems lives in :mod:`repro.lotos.traces`.
+
+Labels are coded as ints once per check: observable labels are numbered
+from 1, and code 0 is the internal move (``tau`` on strong edges, the
+reflexive ``eps`` on saturated ones).  Saturation and refinement then
+hash only small int pairs.  One saturation and one refinement serve both
+the weak verdict and the rooted pass of observation congruence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import VerificationError
 from repro.lotos.events import Label
@@ -24,20 +31,30 @@ from repro.lotos.lts import LTS
 from repro.obs.metrics import get_registry
 from repro.obs.spans import get_tracer
 
-#: Pseudo-label used in the saturated system for "zero or more internal
-#: moves".  Any object distinct from real labels works; a module-private
-#: sentinel keeps it out of user-visible label sets.
-_EPSILON = object()
+#: Code of the internal move: ``tau`` on coded strong edges, ``eps``
+#: (zero or more internal moves) on saturated edges.
+_INTERNAL = 0
+
+#: Per state, the ``(code, target)`` pairs of its outgoing moves as two
+#: parallel tuples, so refinement can pair codes with target blocks
+#: without a Python-level loop per edge.
+_CodedEdges = List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
 
 @dataclass
 class _Union:
-    """Disjoint union of two LTSs with a shared state numbering."""
+    """Disjoint union of two LTSs with a shared state numbering.
+
+    :func:`weak_bisimulation_blocks` fills ``saturated`` and ``codes``
+    (observable label -> code), which the rooted pass reuses.
+    """
 
     edges: List[Tuple[Tuple[object, int], ...]]
     initial1: int
     initial2: int
     offset: int
+    saturated: _CodedEdges = field(default_factory=list)
+    codes: Dict[object, int] = field(default_factory=dict)
 
 
 def _disjoint_union(lts1: LTS, lts2: LTS) -> _Union:
@@ -49,9 +66,7 @@ def _disjoint_union(lts1: LTS, lts2: LTS) -> _Union:
                 "trace comparison instead)"
             )
     offset = lts1.num_states
-    edges: List[Tuple[Tuple[object, int], ...]] = [
-        tuple(outgoing) for outgoing in lts1.edges
-    ]
+    edges: List[Tuple[Tuple[object, int], ...]] = list(lts1.edges)
     edges.extend(
         tuple((label, target + offset) for label, target in outgoing)
         for outgoing in lts2.edges
@@ -59,27 +74,78 @@ def _disjoint_union(lts1: LTS, lts2: LTS) -> _Union:
     return _Union(edges, lts1.initial, lts2.initial + offset, offset)
 
 
-def _refine(
-    num_states: int, edges: List[Tuple[Tuple[object, int], ...]]
-) -> List[int]:
-    """Signature-based partition refinement; returns block ids per state."""
+def _is_tau(label: object) -> bool:
+    return isinstance(label, Label) and not label.is_observable()
+
+
+def _code_edges(
+    edges: List[Tuple[Tuple[object, int], ...]]
+) -> Tuple[List[List[int]], List[List[Tuple[int, int]]], Dict[object, int]]:
+    """Split each state's edges into tau targets and ``(code, target)``
+    visible moves, numbering observable labels from 1.
+
+    Returns the tau lists, the visible lists and the label -> code table
+    (observable labels only).  ``_is_tau`` runs once per distinct label.
+    """
+    codes: Dict[object, int] = {}
+    lookup: Dict[object, int] = {}  # codes, plus tau labels -> 0
+    taus: List[List[int]] = []
+    moves: List[List[Tuple[int, int]]] = []
+    for outgoing in edges:
+        tau_targets: List[int] = []
+        visible: List[Tuple[int, int]] = []
+        for label, target in outgoing:
+            code = lookup.get(label)
+            if code is None:
+                if _is_tau(label):
+                    code = _INTERNAL
+                else:
+                    code = codes[label] = len(codes) + 1
+                lookup[label] = code
+            if code == _INTERNAL:
+                tau_targets.append(target)
+            else:
+                visible.append((code, target))
+        taus.append(tau_targets)
+        moves.append(visible)
+    return taus, moves, codes
+
+
+def _strong_coded(edges: List[Tuple[Tuple[object, int], ...]]) -> _CodedEdges:
+    """The edges themselves, coded, with tau as code 0."""
+    taus, moves, _ = _code_edges(edges)
+    return [
+        (
+            (_INTERNAL,) * len(tau_targets) + tuple(code for code, _ in visible),
+            tuple(tau_targets) + tuple(target for _, target in visible),
+        )
+        for tau_targets, visible in zip(taus, moves)
+    ]
+
+
+def _refine(num_states: int, edges: _CodedEdges) -> List[int]:
+    """Signature-based partition refinement; returns block ids per state.
+
+    A state's signature is its current block plus the frozenset of
+    ``(code, block of target)`` int pairs of its moves.  Blocks are
+    numbered by first occurrence, so the partition is stable exactly
+    when the block count stops growing.
+    """
     blocks = [0] * num_states
+    count = min(num_states, 1)
     iterations = 0
     while True:
         iterations += 1
-        signatures: Dict[int, Tuple[int, FrozenSet[Tuple[object, int]]]] = {}
-        for state in range(num_states):
-            signature = frozenset(
-                (label, blocks[target]) for label, target in edges[state]
+        block_of = blocks.__getitem__
+        mapping: Dict[Tuple[int, frozenset], int] = {}
+        new_blocks = [
+            mapping.setdefault(
+                (blocks[state], frozenset(zip(codes, map(block_of, targets)))),
+                len(mapping),
             )
-            signatures[state] = (blocks[state], signature)
-        mapping: Dict[Tuple[int, FrozenSet], int] = {}
-        new_blocks = [0] * num_states
-        for state in range(num_states):
-            key = signatures[state]
-            block = mapping.setdefault(key, len(mapping))
-            new_blocks[state] = block
-        if new_blocks == blocks:
+            for state, (codes, targets) in enumerate(edges)
+        ]
+        if len(mapping) == count:
             registry = get_registry()
             registry.counter(
                 "equivalence.refine_iterations",
@@ -88,72 +154,76 @@ def _refine(
             registry.gauge(
                 "equivalence.blocks",
                 help="equivalence classes at the last fixpoint",
-            ).set(len(mapping))
+            ).set(count)
             return blocks
-        blocks = new_blocks
+        blocks, count = new_blocks, len(mapping)
 
 
 def strong_bisimilar(lts1: LTS, lts2: LTS) -> bool:
     """Strong bisimulation equivalence of the two initial states."""
     union = _disjoint_union(lts1, lts2)
-    blocks = _refine(len(union.edges), union.edges)
+    blocks = _refine(len(union.edges), _strong_coded(union.edges))
     return blocks[union.initial1] == blocks[union.initial2]
 
 
 def _saturate(
     edges: List[Tuple[Tuple[object, int], ...]]
-) -> List[Tuple[Tuple[object, int], ...]]:
+) -> Tuple[_CodedEdges, Dict[object, int]]:
     """Weak (double-arrow) transition relation with epsilon self-loops.
 
     ``s =a=> t``  iff  ``s (tau)* a (tau)* t`` for observable ``a``;
-    ``s =eps=> t`` iff ``s (tau)* t`` (reflexive).  Strong bisimulation on
-    the saturated system coincides with weak bisimulation on the original.
+    ``s =eps=> t`` iff ``s (tau)* t`` (reflexive, code 0).  Strong
+    bisimulation on the saturated system coincides with weak bisimulation
+    on the original.  Returns the saturated edges and the label -> code
+    table.  Each state's tau-closure is its own DFS over the tau lists:
+    unioning memoized closures instead is far slower on large systems.
     """
-    num_states = len(edges)
-    closure: List[Set[int]] = []
-    for state in range(num_states):
+    taus, moves, codes = _code_edges(edges)
+    closures: List[Set[int]] = []
+    for state in range(len(edges)):
         seen = {state}
         stack = [state]
         while stack:
-            current = stack.pop()
-            for label, target in edges[current]:
-                if _is_tau(label) and target not in seen:
+            for target in taus[stack.pop()]:
+                if target not in seen:
                     seen.add(target)
                     stack.append(target)
-        closure.append(seen)
+        closures.append(seen)
 
-    saturated: List[Tuple[Tuple[object, int], ...]] = []
-    for state in range(num_states):
-        weak: Set[Tuple[object, int]] = set()
-        for mid in closure[state]:
-            weak.add((_EPSILON, mid))
-            for label, target in edges[mid]:
-                if _is_tau(label):
-                    continue
-                for final in closure[target]:
-                    weak.add((label, final))
-        saturated.append(tuple(weak))
-    return saturated
-
-
-def _is_tau(label: object) -> bool:
-    return isinstance(label, Label) and not label.is_observable()
+    # ``after[m]``: the pairs ``(a, t)`` with ``m -a-> (tau)* t``, made
+    # once per state with visible moves and unioned into each closure.
+    after: List[Set[Tuple[int, int]]] = [set() for _ in edges]
+    for state, visible in enumerate(moves):
+        for code, target in visible:
+            after[state].update(zip(repeat(code), closures[target]))
+    saturated: _CodedEdges = []
+    for closure in closures:
+        weak: Set[Tuple[int, int]] = set(zip(repeat(_INTERNAL), closure))
+        for mid in closure:
+            weak |= after[mid]
+        saturated.append(tuple(zip(*weak)) or ((), ()))
+    return saturated, codes
 
 
 def weak_bisimulation_blocks(lts1: LTS, lts2: LTS) -> Tuple[List[int], _Union]:
-    """Weak-bisimulation classes over the disjoint union of both LTSs."""
+    """Weak-bisimulation classes over the disjoint union of both LTSs.
+
+    The returned union carries the saturated edges and label codes, so
+    the rooted pass of :func:`observationally_congruent` needs no second
+    saturation.
+    """
     union = _disjoint_union(lts1, lts2)
     with get_tracer().span(
         "equivalence.weak_bisimulation", states=len(union.edges)
     ) as span:
         with get_tracer().span("equivalence.saturate"):
-            saturated = _saturate(union.edges)
+            union.saturated, union.codes = _saturate(union.edges)
         get_registry().counter(
             "equivalence.saturated_edges",
             help="weak (double-arrow) transitions after saturation",
-        ).inc(sum(len(outgoing) for outgoing in saturated))
+        ).inc(sum(len(targets) for _, targets in union.saturated))
         with get_tracer().span("equivalence.refine"):
-            blocks = _refine(len(union.edges), saturated)
+            blocks = _refine(len(union.edges), union.saturated)
         span.set(blocks=len(set(blocks)))
     return blocks, union
 
@@ -171,10 +241,20 @@ def observationally_congruent(lts1: LTS, lts2: LTS) -> bool:
     sense: an initial internal move of one side must be answered by at
     least one internal move of the other (``B [] i;B`` is weakly
     bisimilar, but not congruent, to ``i;B`` — law I2 of Annex A relates
-    them only under a choice context).
+    them only under a choice context).  Congruence implies weak
+    bisimilarity: the answer is False whenever the initial states are in
+    different weak-bisimulation classes.
     """
     blocks, union = weak_bisimulation_blocks(lts1, lts2)
-    saturated = _saturate(union.edges)
+    saturated = union.saturated
+
+    def weak_moves(state: int, wanted: int) -> Set[int]:
+        codes, targets = saturated[state]
+        return {
+            blocks[target]
+            for code, target in zip(codes, targets)
+            if code == wanted
+        }
 
     def rooted_match(source: int, other: int) -> bool:
         for label, target in union.edges[source]:
@@ -182,24 +262,14 @@ def observationally_congruent(lts1: LTS, lts2: LTS) -> bool:
                 # Rooted condition: an internal move must be answered by
                 # *at least one* internal step — one strong tau step,
                 # then any number more (tau then eps-closure).
-                candidates: Set[int] = set()
+                answers: Set[int] = set()
                 for lab2, mid in union.edges[other]:
                     if _is_tau(lab2):
-                        candidates.add(mid)
-                        candidates.update(
-                            final
-                            for lab3, final in saturated[mid]
-                            if lab3 is _EPSILON
-                        )
-                if not any(blocks[c] == blocks[target] for c in candidates):
+                        answers |= weak_moves(mid, _INTERNAL)
+                if blocks[target] not in answers:
                     return False
-            else:
-                matched = any(
-                    lab == label and blocks[final] == blocks[target]
-                    for lab, final in saturated[other]
-                )
-                if not matched:
-                    return False
+            elif blocks[target] not in weak_moves(other, union.codes[label]):
+                return False
         return True
 
     if blocks[union.initial1] != blocks[union.initial2]:
@@ -213,7 +283,7 @@ def weak_bisimulation_classes(lts: LTS) -> List[int]:
     """Weak-bisimulation equivalence classes within a single LTS."""
     if not lts.complete:
         raise VerificationError("LTS is truncated")
-    saturated = _saturate([tuple(outgoing) for outgoing in lts.edges])
+    saturated, _ = _saturate(lts.edges)
     return _refine(lts.num_states, saturated)
 
 

@@ -160,6 +160,7 @@ def verify_derivation(
     # exact gate may still fit after compression.
     budget = min(max_states, exact_state_limit * 3)
     recursive = _is_recursive(result.prepared)
+    built_states: Tuple[Optional[int], Optional[int]] = (None, None)
     if recursive:
         # Recursive services are infinite-state by construction here (the
         # service stacks >> contexts; the entities grow occurrence
@@ -181,7 +182,9 @@ def verify_derivation(
             and max(service_lts.num_states, system_lts.num_states)
             > exact_state_limit
         ):
-            service_lts = system_lts = None  # still too large to saturate
+            # Still too large to saturate; the bounded report keeps the sizes.
+            built_states = (service_lts.num_states, system_lts.num_states)
+            service_lts = system_lts = None
 
     registry = get_registry()
     if service_lts is not None and system_lts is not None:
@@ -191,12 +194,11 @@ def verify_derivation(
             service_states=service_lts.num_states,
             system_states=system_lts.num_states,
         ):
-            equivalent = weak_bisimilar(service_lts, system_lts)
-            congruent = (
-                observationally_congruent(service_lts, system_lts)
-                if equivalent
-                else False
-            )
+            # Congruence implies weak bisimilarity, so an equivalent pair
+            # is decided by one saturation and one refinement; only a
+            # non-congruent pair pays for the separate weak verdict.
+            congruent = observationally_congruent(service_lts, system_lts)
+            equivalent = congruent or weak_bisimilar(service_lts, system_lts)
         registry.gauge(
             "verify.service_states", help="service LTS size at the check"
         ).set(service_lts.num_states)
@@ -236,20 +238,22 @@ def verify_derivation(
     registry.counter("verify.checks", help="theorem checks by method").inc(
         method="bounded-traces"
     )
-    report = VerificationReport(
+    if recursive:
+        reason = "recursive service: the state space is unbounded"
+    elif built_states[0] is not None:
+        reason = f"state space above the exact limit of {exact_state_limit} states"
+    else:
+        reason = "state space exceeded budget"
+    return VerificationReport(
         method="bounded-traces",
         equivalent=equivalent,
         counterexample=witness,
+        service_states=built_states[0],
+        system_states=built_states[1],
         trace_depth=trace_depth,
         has_disable=has_disable,
-        notes=[
-            "recursive service: the state space is unbounded"
-            if recursive
-            else "state space exceeded budget",
-            "verdict is depth-bounded",
-        ],
+        notes=[reason, "verdict is depth-bounded"],
     )
-    return report
 
 
 def safety_report(

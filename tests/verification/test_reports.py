@@ -1,7 +1,11 @@
 """Verification-report API tests: rendering, truthiness, safety path."""
 
 
+from collections import Counter
+
+from repro import workloads
 from repro.core.generator import derive_protocol
+from repro.obs import observe
 from repro.verification.checker import (
     VerificationReport,
     safety_report,
@@ -79,6 +83,23 @@ class TestCheckerOptions:
         assert report.method == "bounded-traces"
         assert report.equivalent
 
+    def test_sizes_kept_above_exact_limit(self):
+        # Both sides build within the budget, but the compressed system
+        # is above the exact limit: the bounded report keeps both sizes.
+        report = verify_derivation(workloads.pipeline(10, 2))
+        assert report.method == "bounded-traces"
+        assert report.system_states == 9139
+        assert report.service_states is not None
+        assert "state space above the exact limit of 5000 states" in report.notes
+
+    def test_overflowed_build_has_no_size(self):
+        report = verify_derivation(
+            workloads.pipeline(10, 2), max_states=1_000, trace_depth=4
+        )
+        assert report.method == "bounded-traces"
+        assert report.system_states is None
+        assert "state space exceeded budget" in report.notes
+
     def test_trace_depth_recorded(self):
         report = verify_derivation(
             "SPEC A WHERE PROC A = a1; b2; A [] c1; exit END ENDSPEC",
@@ -91,3 +112,33 @@ class TestCheckerOptions:
             "SPEC a1; b2; c3; exit ENDSPEC", capacity=1
         )
         assert report.equivalent and report.congruent
+
+
+def equivalence_passes(service):
+    """Saturation and refinement spans recorded by one theorem check."""
+    with observe() as obs:
+        report = verify_derivation(service)
+    names = Counter()
+    stack = list(obs.tracer.roots)
+    while stack:
+        span = stack.pop()
+        names[span.name] += 1
+        stack.extend(span.children)
+    return report, names["equivalence.saturate"], names["equivalence.refine"]
+
+
+class TestEquivalencePasses:
+    def test_equivalent_check_saturates_once(self):
+        report, saturations, refinements = equivalence_passes(
+            "SPEC (a1; exit ||| b2; exit) >> c3; exit ENDSPEC"
+        )
+        assert report.method == "weak-bisimulation"
+        assert report.equivalent and report.congruent
+        assert (saturations, refinements) == (1, 1)
+
+    def test_naive_projection_saturates_at_most_twice(self):
+        naive = derive_protocol(workloads.fan_out_join(4), emit_sync=False)
+        report, saturations, refinements = equivalence_passes(naive)
+        assert report.method == "weak-bisimulation"
+        assert not report.equivalent
+        assert 1 <= saturations <= 2 and 1 <= refinements <= 2
