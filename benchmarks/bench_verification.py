@@ -67,6 +67,25 @@ def test_verify_pipeline_exact_mid_size(benchmark):
     benchmark(run)
 
 
+def test_verify_overflowing_three_place_instances(benchmark):
+    """Example 7's ``B ||| B`` shape at three places: the system build
+    runs to the 15k-state budget, then the check falls back to depth-8
+    weak traces, so nearly all of it is composed-system exploration."""
+    result = derive_protocol(
+        "SPEC B ||| B WHERE PROC B = a1; (b2; exit ||| c3; exit) END ENDSPEC"
+    )
+
+    def run():
+        report = verify_derivation(result)
+        assert report.method == "bounded-traces"
+        assert report.trace_depth == 8
+        assert "state space exceeded budget" in report.notes
+        assert report.equivalent
+        return report
+
+    benchmark(run)
+
+
 def test_system_lts_construction(benchmark, example3_result):
     def run():
         system = build_system(

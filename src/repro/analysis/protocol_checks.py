@@ -209,7 +209,7 @@ def analyze_system(
         # attribute the deadlock: which entities are wedged on receives?
         for index, behaviour in enumerate(term.entities):
             place = place_of_index[index]
-            moves = system._semantics[index].transitions(behaviour)
+            moves = system.semantics[index].transitions(behaviour)
             wanted = tuple(
                 label for label, _ in moves if isinstance(label, ReceiveAction)
             )

@@ -28,11 +28,15 @@ DEFAULT_MAX_STATES = 20_000
 class LTS:
     """A finite (possibly truncated) labelled transition system.
 
-    States are integers; ``state_terms[i]`` is the behaviour expression
-    the state stands for.  ``edges[i]`` lists ``(label, target)`` pairs in
-    a deterministic order.  ``truncated_states`` holds the indices whose
-    outgoing transitions were *not* expanded because the state budget ran
-    out; analyses must treat such states as having unknown behaviour.
+    States are integers; ``state_terms[i]`` is the term the state stands
+    for: a ``Behaviour`` when the LTS was built from a :class:`Semantics`,
+    a :class:`repro.runtime.system.SystemState` when it was built from a
+    composed :class:`repro.runtime.system.DistributedSystem` (any object
+    with a ``transitions(term)`` method works).  ``edges[i]`` lists
+    ``(label, target)`` pairs in a deterministic order.
+    ``truncated_states`` holds the indices whose outgoing transitions
+    were *not* expanded because the state budget ran out; analyses must
+    treat such states as having unknown behaviour.
     """
 
     state_terms: List[Behaviour] = field(default_factory=list)

@@ -40,7 +40,10 @@ class MediumState:
     """Frozen snapshot of every channel's queue.
 
     ``channels`` holds only the nonempty queues, sorted by key, so equal
-    medium contents always hash identically.
+    medium contents always hash identically.  Equality is structural;
+    the hash is computed once per object, like ``Behaviour``'s, since
+    LTS construction and the trace search hash the same states again
+    and again.
     """
 
     channels: Tuple[Tuple[ChannelKey, Tuple[SyncMessage, ...]], ...] = ()
@@ -52,6 +55,21 @@ class MediumState:
             raise ValueError(
                 f"unknown discipline {self.discipline!r}; pick from {DISCIPLINES}"
             )
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.channels, self.capacity, self.discipline))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never ship the cache.
+        return {
+            "channels": self.channels,
+            "capacity": self.capacity,
+            "discipline": self.discipline,
+        }
 
     # ------------------------------------------------------------------
     def queue(self, src: int, dest: int) -> Tuple[SyncMessage, ...]:

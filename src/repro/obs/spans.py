@@ -218,6 +218,8 @@ def _jsonable(attrs: Dict[str, Any]) -> Dict[str, Any]:
             out[key] = value
         elif isinstance(value, (list, tuple, set, frozenset)):
             out[key] = sorted(str(item) for item in value)
+        elif isinstance(value, dict):
+            out[key] = _jsonable({str(name): item for name, item in value.items()})
         else:
             out[key] = str(value)
     return out

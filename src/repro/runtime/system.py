@@ -44,6 +44,7 @@ from repro.lotos.events import (
     ReceiveAction,
     SendAction,
     ServicePrimitive,
+    SyncMessage,
 )
 from repro.lotos.scope import bind_occurrence, flatten
 from repro.lotos.semantics import Semantics
@@ -52,20 +53,69 @@ from repro.medium.state import MediumState, make_medium
 
 Transition = Tuple[Label, "SystemState"]
 
+#: A global state as the composer sees it: one local-state id per
+#: entity, then the medium-state id.
+Key = Tuple[int, ...]
+
+#: Gate id of a local move the medium does not take part in.
+_FREE = -1
+#: Result of a gate whose send or receive the medium does not enable.
+_BLOCKED = -1
+
 
 @dataclass(frozen=True)
 class SystemState:
-    """One global state: each entity's behaviour plus the medium."""
+    """One global state: each entity's behaviour plus the medium.
+
+    Equality is structural; the hash is computed once per object (the
+    same value the field tuple hashes to), because LTS construction and
+    the trace search probe dicts and sets with the same states over and
+    over.
+    """
 
     entities: Tuple[Behaviour, ...]
     medium: MediumState
 
-    def replace_entity(self, index: int, behaviour: Behaviour) -> "SystemState":
-        entities = self.entities[:index] + (behaviour,) + self.entities[index + 1 :]
-        return SystemState(entities, self.medium)
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.entities, self.medium))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
-    def with_medium(self, medium: MediumState) -> "SystemState":
-        return SystemState(self.entities, medium)
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never ship the cache.
+        return {"entities": self.entities, "medium": self.medium}
+
+
+class _LocalTable:
+    """One entity's local states (``Behaviour`` <-> int) and their moves.
+
+    ``moves[i]`` is filled the first time a global state holding local
+    state ``i`` is expanded, from one call to the entity's
+    ``Semantics.transitions``: ``(visible label, residual id, gate id)``
+    per non-``delta`` move.  ``can_exit[i]`` records whether the state
+    offers ``delta``.
+    """
+
+    __slots__ = ("semantics", "ids", "terms", "moves", "can_exit")
+
+    def __init__(self, semantics: Semantics) -> None:
+        self.semantics = semantics
+        self.ids: Dict[Behaviour, int] = {}
+        self.terms: List[Behaviour] = []
+        self.moves: List[Optional[Tuple[Tuple[Label, int, int], ...]]] = []
+        self.can_exit: List[bool] = []
+
+    def intern(self, term: Behaviour) -> int:
+        local = self.ids.get(term)
+        if local is None:
+            local = len(self.terms)
+            self.ids[term] = local
+            self.terms.append(term)
+            self.moves.append(None)
+            self.can_exit.append(False)
+        return local
 
 
 class DistributedSystem:
@@ -75,6 +125,17 @@ class DistributedSystem:
     (verification view); ``hide=False`` keeps them observable in long
     form (``s^i_j(m)``), which is how the message-complexity experiments
     count traffic.
+
+    The composed system is explored as a product of integer-coded
+    components.  Each entity has a :class:`_LocalTable`, so its
+    semantics runs once per local state, not once per global state.
+    The medium has a table of its own (``MediumState`` <-> int) with the
+    result of every send/receive memoized per ``(gate, medium id)``,
+    where a gate is one ``(entity, send/receive label)`` pair.  A global
+    state is keyed by the tuple of its component ids and stands for
+    exactly one canonical :class:`SystemState` object, the one the
+    transitions hand out; a structurally equal state built elsewhere is
+    mapped to its key on first sight.  All tables belong to the instance.
     """
 
     def __init__(
@@ -88,83 +149,193 @@ class DistributedSystem:
         if len(places) != len(initial.entities) or len(places) != len(semantics):
             raise ExecutionError("places, semantics and entities must align")
         self.places = tuple(places)
-        self._semantics = tuple(semantics)
+        self.semantics = tuple(semantics)
         self.initial = initial
         self.hide = hide
         self.require_empty_at_exit = require_empty_at_exit
-        self._index_of: Dict[int, int] = {
-            place: index for index, place in enumerate(self.places)
-        }
-        self._cache: Dict[SystemState, Tuple[Transition, ...]] = {}
+        self._tables = tuple(_LocalTable(entry) for entry in self.semantics)
+        self._media: List[MediumState] = []
+        self._medium_ids: Dict[MediumState, int] = {}
+        self._medium_moves: List[Optional[Tuple[int, ...]]] = []
+        # (is_send, src, dest, message) per gate, and its memoized
+        # medium id -> successor medium id (or _BLOCKED).
+        self._gate_ids: Dict[Tuple[int, Label], int] = {}
+        self._gates: List[Tuple[bool, int, int, SyncMessage]] = []
+        self._gate_results: List[Dict[int, int]] = []
+        self._states: Dict[Key, SystemState] = {}
+        self._keys: Dict[int, Key] = {}  # id(canonical state) -> key
+        self._cache: Dict[Key, Tuple[Transition, ...]] = {}
+        self._stop_ids: Optional[Key] = None
 
     # ------------------------------------------------------------------
     def transitions(self, state: SystemState) -> Tuple[Transition, ...]:
-        cached = self._cache.get(state)
+        key = self._keys.get(id(state))
+        if key is None:
+            key = self._key_of(state)
+        cached = self._cache.get(key)
         if cached is None:
-            cached = tuple(self._transitions(state))
-            self._cache[state] = cached
+            cached = self._transitions(key)
+            self._cache[key] = cached
         return cached
 
-    def _transitions(self, state: SystemState) -> List[Transition]:
+    def _transitions(self, key: Key) -> Tuple[Transition, ...]:
+        """Each entity's moves in place order, each in its semantics'
+        order (sends and receives only where the medium enables them);
+        then global ``delta``; then the medium's own internal moves."""
         result: List[Transition] = []
-        delta_residuals: List[Optional[Behaviour]] = []
-        for index, behaviour in enumerate(state.entities):
-            place = self.places[index]
-            delta_residual: Optional[Behaviour] = None
-            for label, residual in self._semantics[index].transitions(behaviour):
-                if isinstance(label, Delta):
-                    delta_residual = residual
-                    continue
-                transition = self._entity_move(state, index, place, label, residual)
-                if transition is not None:
-                    result.append(transition)
-            delta_residuals.append(delta_residual)
-        if all(residual is not None for residual in delta_residuals):
-            if not self.require_empty_at_exit or state.medium.is_empty:
-                # Normalize to literal stops: the delta residual of e.g.
-                # ``exit ||| exit`` is ``stop ||| stop``, behaviourally
-                # stop but structurally distinct — collapsing makes
-                # global termination a single canonical state that
-                # ``is_terminated`` recognizes.
-                terminated = SystemState(
-                    tuple(Stop() for _ in delta_residuals), state.medium
-                )
-                result.append((DELTA, terminated))
+        states = self._states
+        medium = key[-1]
+        everyone_exits = True
+        for index, table in enumerate(self._tables):
+            local = key[index]
+            moves = table.moves[local]
+            if moves is None:
+                moves = self._local_moves(index, local)
+            before, after = key[:index], key[index + 1 :]
+            for label, target, gate in moves:
+                if gate == _FREE:
+                    successor = before + (target,) + after
+                else:
+                    moved = self._gate_results[gate].get(medium)
+                    if moved is None:
+                        moved = self._through_gate(gate, medium)
+                    if moved == _BLOCKED:
+                        continue
+                    successor = before + (target,) + after[:-1] + (moved,)
+                state = states.get(successor)
+                if state is None:
+                    state = self._state(successor)
+                result.append((label, state))
+            everyone_exits = everyone_exits and table.can_exit[local]
+        if everyone_exits and (
+            not self.require_empty_at_exit or self._media[medium].is_empty
+        ):
+            # Every entity terminates into a literal stop: the delta
+            # residual of e.g. ``exit ||| exit`` is ``stop ||| stop``,
+            # behaviourally stop but structurally distinct, and one
+            # canonical terminated state is what ``is_terminated``
+            # recognizes.
+            result.append((DELTA, self._state(self._stops() + (medium,))))
         # Media with internal machinery (ARQ recovery, loss faults)
         # contribute their own moves as internal steps.
-        internal = getattr(state.medium, "internal_transitions", None)
-        if internal is not None:
-            for _description, new_medium in internal():
-                result.append((INTERNAL, state.with_medium(new_medium)))
+        for moved in self._medium_internal(medium):
+            result.append((INTERNAL, self._state(key[:-1] + (moved,))))
+        return tuple(result)
+
+    def _local_moves(
+        self, index: int, local: int
+    ) -> Tuple[Tuple[Label, int, int], ...]:
+        table = self._tables[index]
+        place = self.places[index]
+        moves: List[Tuple[Label, int, int]] = []
+        can_exit = False
+        for label, residual in table.semantics.transitions(table.terms[local]):
+            if isinstance(label, Delta):
+                can_exit = True
+                continue
+            if isinstance(label, ServicePrimitive):
+                moves.append((label, table.intern(residual), _FREE))
+            elif isinstance(label, InternalAction):
+                moves.append((INTERNAL, table.intern(residual), _FREE))
+            elif isinstance(label, SendAction):
+                visible: Label = INTERNAL if self.hide else label.with_src(place)
+                gate = self._gate(index, label, True, place, label.dest)
+                moves.append((visible, table.intern(residual), gate))
+            elif isinstance(label, ReceiveAction):
+                visible = INTERNAL if self.hide else label.with_dest(place)
+                gate = self._gate(index, label, False, label.src, place)
+                moves.append((visible, table.intern(residual), gate))
+            else:
+                raise ExecutionError(
+                    f"entity at place {place} offered unexpected {label}"
+                )
+        result = tuple(moves)
+        table.moves[local] = result
+        table.can_exit[local] = can_exit
         return result
 
-    def _entity_move(
-        self,
-        state: SystemState,
-        index: int,
-        place: int,
-        label: Label,
-        residual: Behaviour,
-    ) -> Optional[Transition]:
-        if isinstance(label, ServicePrimitive):
-            return label, state.replace_entity(index, residual)
-        if isinstance(label, InternalAction):
-            return INTERNAL, state.replace_entity(index, residual)
-        if isinstance(label, SendAction):
-            if not state.medium.can_send(place, label.dest):
-                return None
-            medium = state.medium.send(place, label.dest, label.message)
-            visible: Label = INTERNAL if self.hide else label.with_src(place)
-            return visible, state.replace_entity(index, residual).with_medium(medium)
-        if isinstance(label, ReceiveAction):
-            if not state.medium.receivable(label.src, place, label.message):
-                return None
-            medium = state.medium.receive(label.src, place, label.message)
-            visible = INTERNAL if self.hide else label.with_dest(place)
-            return visible, state.replace_entity(index, residual).with_medium(medium)
-        raise ExecutionError(f"entity at place {place} offered unexpected {label}")
+    def _gate(
+        self, index: int, label: Label, is_send: bool, src: int, dest: int
+    ) -> int:
+        gate = self._gate_ids.get((index, label))
+        if gate is None:
+            gate = len(self._gates)
+            self._gate_ids[(index, label)] = gate
+            self._gates.append((is_send, src, dest, label.message))
+            self._gate_results.append({})
+        return gate
+
+    def _through_gate(self, gate: int, medium: int) -> int:
+        is_send, src, dest, message = self._gates[gate]
+        state = self._media[medium]
+        successor: Optional[MediumState] = None
+        if is_send:
+            if state.can_send(src, dest):
+                successor = state.send(src, dest, message)
+        elif state.receivable(src, dest, message):
+            successor = state.receive(src, dest, message)
+        moved = _BLOCKED if successor is None else self._medium_id(successor)
+        self._gate_results[gate][medium] = moved
+        return moved
+
+    def _medium_internal(self, medium: int) -> Tuple[int, ...]:
+        moves = self._medium_moves[medium]
+        if moves is None:
+            internal = getattr(self._media[medium], "internal_transitions", None)
+            moves = (
+                tuple(self._medium_id(moved) for _description, moved in internal())
+                if internal is not None
+                else ()
+            )
+            self._medium_moves[medium] = moves
+        return moves
+
+    def _medium_id(self, medium: MediumState) -> int:
+        number = self._medium_ids.get(medium)
+        if number is None:
+            number = len(self._media)
+            self._medium_ids[medium] = number
+            self._media.append(medium)
+            self._medium_moves.append(None)
+        return number
+
+    def _stops(self) -> Key:
+        if self._stop_ids is None:
+            self._stop_ids = tuple(table.intern(Stop()) for table in self._tables)
+        return self._stop_ids
+
+    def _state(self, key: Key) -> SystemState:
+        """The canonical state of ``key``, made on first use."""
+        state = self._states.get(key)
+        if state is None:
+            entities = tuple(
+                table.terms[local] for table, local in zip(self._tables, key)
+            )
+            state = SystemState(entities, self._media[key[-1]])
+            self._states[key] = state
+            self._keys[id(state)] = key
+        return state
+
+    def _key_of(self, state: SystemState) -> Key:
+        """Key of a state this system did not hand out (``initial`` or a
+        structurally equal copy); an unseen key adopts it as canonical."""
+        key = tuple(
+            table.intern(entity) for table, entity in zip(self._tables, state.entities)
+        ) + (self._medium_id(state.medium),)
+        if key not in self._states:
+            self._states[key] = state
+            self._keys[id(state)] = key
+        return key
 
     # ------------------------------------------------------------------
+    def component_sizes(self) -> Tuple[Tuple[int, ...], int, int]:
+        """States seen so far: per entity, in the medium, and global."""
+        return (
+            tuple(len(table.terms) for table in self._tables),
+            len(self._media),
+            len(self._states),
+        )
+
     def is_terminated(self, state: SystemState) -> bool:
         return all(isinstance(entity, Stop) for entity in state.entities)
 

@@ -170,8 +170,15 @@ def verify_derivation(
     else:
         with tracer.span("verify.service_lts"):
             service_lts = _try_build(service_root, service_semantics, budget)
-        with tracer.span("verify.system_lts"):
+        with tracer.span("verify.system_lts") as span:
             system_lts = _try_build(system.initial, system, budget)
+            if tracer.enabled:
+                entity_states, medium_states, states = system.component_sizes()
+                span.set(
+                    states=states,
+                    entity_states=dict(zip(system.places, entity_states)),
+                    medium_states=medium_states,
+                )
             if system_lts is not None:
                 from repro.lotos.reduction import compress_tau_chains
 

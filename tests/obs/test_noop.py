@@ -57,3 +57,21 @@ def test_instrumentation_publishes_only_when_enabled():
     } <= metrics
     span_names = {span["name"] for span in obs.tracer.to_dict()["spans"]}
     assert {"derive", "executor.run"} <= span_names
+
+
+def test_component_sizes_are_not_read_while_disabled(monkeypatch):
+    """The system-side span attributes cost nothing with tracing off."""
+    from repro.runtime.system import DistributedSystem
+
+    def forbidden(self):
+        raise AssertionError("component sizes read with tracing disabled")
+
+    result = derive_protocol(SERVICE)
+    baseline = verify_derivation(result)
+    monkeypatch.setattr(DistributedSystem, "component_sizes", forbidden)
+    again = verify_derivation(result)
+    assert (again.method, again.equivalent, again.system_states) == (
+        baseline.method,
+        baseline.equivalent,
+        baseline.system_states,
+    )

@@ -73,6 +73,22 @@ class TestReport:
         assert "derive.places" in metric_names
         assert "executor.runs" in metric_names
 
+    def test_system_lts_span_carries_component_sizes(self, sequence_report):
+        stack = list(sequence_report["trace"]["spans"])
+        while stack:
+            span = stack.pop()
+            if span["name"] == "verify.system_lts":
+                break
+            stack.extend(span["children"])
+        else:
+            raise AssertionError("no verify.system_lts span")
+        attrs = span["attrs"]
+        assert sorted(attrs["entity_states"]) == ["1", "2"]
+        assert all(isinstance(n, int) for n in attrs["entity_states"].values())
+        assert isinstance(attrs["medium_states"], int)
+        assert attrs["states"] >= sequence_report["verification"]["system_states"]
+        assert validate_report(json.loads(render_report_json(sequence_report))) == []
+
     def test_deterministic_given_the_seed(self, sequence_report):
         again = profile_spec(SEQUENCE, source="sequence", runs=2, seed=1)
         assert again["runs"] == sequence_report["runs"]

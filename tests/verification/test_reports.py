@@ -142,3 +142,40 @@ class TestEquivalencePasses:
         assert report.method == "weak-bisimulation"
         assert not report.equivalent
         assert 1 <= saturations <= 2 and 1 <= refinements <= 2
+
+
+def system_lts_span(service, **options):
+    """The report and the ``verify.system_lts`` span of one check."""
+    with observe() as obs:
+        report = verify_derivation(service, **options)
+    stack = list(obs.tracer.roots)
+    while stack:
+        span = stack.pop()
+        if span.name == "verify.system_lts":
+            return report, span.attrs
+        stack.extend(span.children)
+    raise AssertionError("no verify.system_lts span")
+
+
+class TestComponentSizes:
+    """The composed system's span shows its components next to the product."""
+
+    def test_exact_check_records_entity_and_medium_states(self):
+        report, attrs = system_lts_span(
+            "SPEC (a1; exit ||| b2; exit) >> c3; exit ENDSPEC"
+        )
+        assert report.method == "weak-bisimulation"
+        assert sorted(attrs["entity_states"]) == [1, 2, 3]
+        assert all(count > 1 for count in attrs["entity_states"].values())
+        assert attrs["medium_states"] > 1
+        # The span counts the raw product; the report the compressed LTS.
+        assert attrs["states"] >= report.system_states
+
+    def test_overflowed_build_records_how_far_it_got(self):
+        report, attrs = system_lts_span(
+            workloads.pipeline(10, 2), max_states=1_000, trace_depth=4
+        )
+        assert report.system_states is None
+        assert attrs["states"] >= 1_000
+        entities = attrs["entity_states"].values()
+        assert sum(entities) + attrs["medium_states"] < attrs["states"]
