@@ -1,6 +1,6 @@
-"""Command-line front ends: ``repro`` and the legacy ``lotos-pg``.
+"""Command-line front ends: ``repro`` and its ``lotos-pg`` alias.
 
-``repro`` is the subcommand interface::
+``repro`` is one :mod:`argparse` tree with a subparser per command::
 
     repro lint service.lotos                    # static analysis only
     repro lint service.lotos --format json      # machine-readable output
@@ -10,17 +10,19 @@
     repro derive service.lotos --stats=json     # metrics snapshot on stderr
     repro profile service.lotos                 # consolidated JSON report
     repro batch corpus/ --workers 4             # parallel, cached corpus run
+    repro serve / loadgen / chaos               # the derivation server
     repro --version
 
 Diagnostic output (lint warnings, traces, stats, profile digests) goes
 to stderr so stdout stays pipeable; ``--quiet`` silences the
 informational stderr chatter of every subcommand.
 
-``lotos-pg`` is the original flag-style Protocol Generator (kept as an
-alias of ``repro derive``): reads a service specification (file or
-stdin), checks it, derives the protocol entity specification of every
-place, and optionally verifies the correctness theorem, reports message
-complexity, or executes random schedules::
+``lotos-pg`` is the original flag-style Protocol Generator.  It is an
+argv alias: ``lotos-pg ARGS`` runs ``repro derive ARGS``, which reads a
+service specification (file or stdin), checks it, derives the protocol
+entity specification of every place, and optionally verifies the
+correctness theorem, reports message complexity, or executes random
+schedules::
 
     lotos-pg service.lotos                      # derive all entities
     lotos-pg service.lotos --place 2            # one entity
@@ -28,16 +30,20 @@ complexity, or executes random schedules::
     lotos-pg service.lotos --complexity         # Section 4.3 counts
     lotos-pg service.lotos --run 5              # execute 5 schedules
     lotos-pg service.lotos --attributes         # SP/EP/AP table (Fig. 4)
+
+The serve, batch and chaos stacks (and :mod:`asyncio`) are imported
+inside the commands that use them, so ``derive`` and ``lint`` start
+without them.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.complexity import analyze
 from repro.core.generator import derive_protocol
@@ -46,9 +52,113 @@ from repro.lotos.unparse import unparse_behaviour
 from repro.runtime import build_system, check_run, random_run
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# ----------------------------------------------------------------------
+# Pieces every command shares
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _package_version() -> str:
+    """The installed distribution version, or the source tree's."""
+    try:
+        from importlib.metadata import version
+
+        return version("repro")
+    except Exception:
+        import repro
+
+        return getattr(repro, "__version__", "unknown")
+
+
+class _VersionAction(argparse.Action):
+    """``--version``: prints ``<prog> <version>`` and exits.
+
+    Like argparse's own version action, except that the version is only
+    looked up when the flag is given: reading the distribution metadata
+    costs more than parsing a command line.
+    """
+
+    def __init__(
+        self, option_strings, dest,
+        help="show program's version number and exit",
+    ):
+        super().__init__(
+            option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+            nargs=0, help=help,
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_package_version()}")
+        parser.exit()
+
+
+#: Flags several commands take: one definition each.  A command may
+#: give its own help text (see :func:`_shared`).
+_SHARED: Dict[str, Dict[str, Any]] = {
+    "--indent": dict(
+        type=int, default=2, metavar="N",
+        help="JSON indentation; 0 emits the compact one-line form",
+    ),
+    "--mixed-choice": dict(action="store_true"),
+    "--seed": dict(type=int, default=0, help="base RNG seed"),
+    "--cache-dir": dict(default=".repro-cache", metavar="DIR"),
+    "--no-cache": dict(action="store_true"),
+    "--max-cache-entries": dict(type=int, default=None, metavar="N"),
+}
+
+
+def _shared(
+    parser: argparse.ArgumentParser, flag: str, help: Optional[str] = None
+) -> None:
+    options = dict(_SHARED[flag])
+    if help is not None:
+        options["help"] = help
+    parser.add_argument(flag, **options)
+
+
+def _add_common_flags(
+    parser: argparse.ArgumentParser,
+    quiet_help: str = "suppress informational stderr output (lint "
+    "warnings, digests)",
+) -> None:
+    """``--quiet`` and ``--version``, last in every command's options."""
+    parser.add_argument("--quiet", action="store_true", help=quiet_help)
+    parser.add_argument("--version", action=_VersionAction)
+
+
+def _read_spec(path: str) -> Optional[str]:
+    """The text at ``path`` (``-`` is stdin); ``None`` once the reason
+    it could not be read is on stderr."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _print_json(document: Any, indent: int) -> None:
+    """One JSON document on stdout; ``indent`` 0 is the one-line form."""
+    print(json.dumps(document, indent=indent if indent > 0 else None, sort_keys=True))
+
+
+def _broken_pipe_exit() -> int:
+    # A downstream reader (`repro lint ... | head`) closed stdout early.
+    # Swallow the write error and keep the interpreter's shutdown flush
+    # from raising again, instead of dumping a traceback.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    return 1
+
+
+# ----------------------------------------------------------------------
+# ``repro derive`` (``lotos-pg``)
+# ----------------------------------------------------------------------
+def _add_derive(commands) -> None:
+    parser = commands.add_parser(
+        "derive",
         prog="lotos-pg",
+        help="derive protocol entities, lotos-pg style",
         description="Derive protocol entity specifications from a LOTOS "
         "service specification (Kant/Higashino/Bochmann algorithm).",
     )
@@ -79,10 +189,10 @@ def make_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="naive projection baseline (no synchronization messages)",
     )
-    parser.add_argument(
+    _shared(
+        parser,
         "--mixed-choice",
-        action="store_true",
-        help="lift restriction R1 for two-starter choices via the arbiter "
+        "lift restriction R1 for two-starter choices via the arbiter "
         "protocol (trace-equivalent extension, see docs/algorithm.md)",
     )
     parser.add_argument(
@@ -107,7 +217,7 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="execute N random schedules through the FIFO medium",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    _shared(parser, "--seed")
     parser.add_argument(
         "--max-steps", type=int, default=10_000, help="step budget per run"
     )
@@ -134,11 +244,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="emit Graphviz DOT: the attributed derivation tree (Fig. 4) "
         "or the service LTS",
     )
-    _add_observability_flags(parser)
-    return parser
-
-
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         action="store_true",
@@ -154,59 +259,12 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         help="print a metrics snapshot to stderr (text, or --stats=json)",
     )
     _add_common_flags(parser)
+    parser.set_defaults(handler=_derive)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress informational stderr output (lint warnings, digests)",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {_package_version()}",
-    )
-
-
-def _package_version() -> str:
-    """The installed distribution version, or the source tree's."""
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
-        return getattr(repro, "__version__", "unknown")
-
-
-def _broken_pipe_exit() -> int:
-    # A downstream reader (`repro lint ... | head`) closed stdout early.
-    # Swallow the write error and keep the interpreter's shutdown flush
-    # from raising again, instead of dumping a traceback.
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    return 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _derive_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _derive_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
-    try:
-        text = (
-            sys.stdin.read()
-            if args.service == "-"
-            else open(args.service, encoding="utf-8").read()
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+def _derive(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    text = _read_spec(args.service)
+    if text is None:
         return 2
     if not (args.trace or args.stats):
         return _derive_body(args, text)
@@ -395,12 +453,16 @@ def _surface_lint_warnings(
         print(f"lint: internal error: {exc}", file=sys.stderr)
 
 
+
+
 # ----------------------------------------------------------------------
 # ``repro profile``
 # ----------------------------------------------------------------------
-def make_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_profile(commands) -> None:
+    parser = commands.add_parser(
+        "profile",
         prog="repro profile",
+        help="derive + verify + run; one JSON report",
         description="Profile the full life of one service specification — "
         "derivation, Section 5 verification, N seeded executor runs — and "
         "emit one consolidated JSON report (schema repro.obs.profile/v1) "
@@ -415,7 +477,7 @@ def make_profile_parser() -> argparse.ArgumentParser:
         "--runs", type=int, default=3, metavar="N",
         help="seeded schedules to execute (default 3)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    _shared(parser, "--seed")
     parser.add_argument(
         "--max-steps", type=int, default=5_000, help="step budget per run"
     )
@@ -430,46 +492,19 @@ def make_profile_parser() -> argparse.ArgumentParser:
         default=6,
         help="depth bound for the trace-equivalence fallback (default 6)",
     )
-    parser.add_argument(
-        "--mixed-choice",
-        action="store_true",
-        help="derive with the arbiter-protocol R1 extension",
+    _shared(
+        parser, "--mixed-choice", "derive with the arbiter-protocol R1 extension"
     )
-    parser.add_argument(
-        "--indent",
-        type=int,
-        default=2,
-        metavar="N",
-        help="JSON indentation; 0 emits the compact one-line form",
-    )
+    _shared(parser, "--indent")
     _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_profile)
 
 
-def profile_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _profile_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
+def _profile(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.obs import profile_spec, render_report, spec_display_name
 
-
-def _profile_main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.obs import (
-        profile_spec,
-        render_report,
-        render_report_json,
-        spec_display_name,
-    )
-
-    args = make_profile_parser().parse_args(argv)
-    try:
-        text = (
-            sys.stdin.read()
-            if args.service == "-"
-            else open(args.service, encoding="utf-8").read()
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    text = _read_spec(args.service)
+    if text is None:
         return 2
     try:
         report = profile_spec(
@@ -487,8 +522,7 @@ def _profile_main(argv: Optional[Sequence[str]] = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    indent = args.indent if args.indent > 0 else None
-    print(render_report_json(report, indent=indent))
+    _print_json(report, args.indent)
     if not args.quiet:
         print(render_report(report), file=sys.stderr)
     return 0
@@ -497,9 +531,11 @@ def _profile_main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # ``repro batch``
 # ----------------------------------------------------------------------
-def make_batch_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_batch(commands) -> None:
+    parser = commands.add_parser(
+        "batch",
         prog="repro batch",
+        help="parallel, cached derivation of a corpus",
         description="Derive protocol entities for a whole corpus of "
         "service specifications — in parallel, with a content-addressed "
         "on-disk cache so repeat runs never recompute.  Emits one "
@@ -532,23 +568,15 @@ def make_batch_parser() -> argparse.ArgumentParser:
         help="per-task wall-clock budget (pool mode only); an overdue "
         "task becomes a failure row, not a hung run",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=".repro-cache",
-        metavar="DIR",
-        help="entity cache directory (default ./.repro-cache)",
+    _shared(
+        parser, "--cache-dir", "entity cache directory (default ./.repro-cache)"
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="derive everything; neither read nor write the cache",
+    _shared(
+        parser, "--no-cache", "derive everything; neither read nor write the cache"
     )
-    parser.add_argument(
-        "--max-cache-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evict least-recently-written entries beyond N",
+    _shared(
+        parser, "--max-cache-entries",
+        "evict least-recently-written entries beyond N",
     )
     parser.add_argument(
         "--split-bytes",
@@ -565,29 +593,15 @@ def make_batch_parser() -> argparse.ArgumentParser:
         help="also write each derived corpus member to "
         "DIR/<name>.entities.txt",
     )
-    parser.add_argument(
-        "--indent",
-        type=int,
-        default=2,
-        metavar="N",
-        help="JSON indentation; 0 emits the compact one-line form",
-    )
+    _shared(parser, "--indent")
     _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_batch)
 
 
-def batch_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _batch_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _batch_main(argv: Optional[Sequence[str]] = None) -> int:
+def _batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.batch import EntityCache, load_corpus, run_batch
     from repro.batch.scheduler import DEFAULT_SPLIT_BYTES
 
-    args = make_batch_parser().parse_args(argv)
     try:
         corpus = load_corpus(args.corpus, manifest=args.manifest)
     except (OSError, ValueError) as exc:
@@ -624,8 +638,7 @@ def _batch_main(argv: Optional[Sequence[str]] = None) -> int:
                 encoding="utf-8",
             ) as handle:
                 handle.write("\n".join(parts) + "\n")
-    indent = args.indent if args.indent > 0 else None
-    print(json.dumps(outcome.summary, indent=indent, sort_keys=True))
+    _print_json(outcome.summary, args.indent)
     if not args.quiet:
         _print_batch_digest(outcome.summary)
     return 0 if outcome.ok else 1
@@ -658,9 +671,11 @@ def _print_batch_digest(summary: dict) -> None:
 # ----------------------------------------------------------------------
 # ``repro serve``
 # ----------------------------------------------------------------------
-def make_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_serve(commands) -> None:
+    parser = commands.add_parser(
+        "serve",
         prog="repro serve",
+        help="long-running asyncio derivation server",
         description="Run the derivation pipeline as a long-running asyncio "
         "HTTP service: POST /v1/derive, /v1/lint, /v1/profile (JSON bodies, "
         "schema repro.serve.request/v1), GET /healthz and /metrics.  "
@@ -702,18 +717,18 @@ def make_serve_parser() -> argparse.ArgumentParser:
         help="how long shutdown waits for in-flight requests "
         "(default %(default)s)",
     )
-    parser.add_argument(
-        "--cache-dir", default=".repro-cache", metavar="DIR",
-        help="entity cache directory shared with `repro batch` "
+    _shared(
+        parser, "--cache-dir",
+        "entity cache directory shared with `repro batch` "
         "(default %(default)s)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="derive every request; neither read nor write the cache",
+    _shared(
+        parser, "--no-cache",
+        "derive every request; neither read nor write the cache",
     )
-    parser.add_argument(
-        "--max-cache-entries", type=int, default=None, metavar="N",
-        help="evict least-recently-written cache entries beyond N",
+    _shared(
+        parser, "--max-cache-entries",
+        "evict least-recently-written cache entries beyond N",
     )
     parser.add_argument(
         "--chaos-plan", default=None, metavar="PLAN",
@@ -725,11 +740,12 @@ def make_serve_parser() -> argparse.ArgumentParser:
         help="seed of the fault plan's schedule (default %(default)s)",
     )
     _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_serve)
 
 
-def serve_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_serve_parser().parse_args(argv)
+def _serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    import asyncio
+
     from repro.serve.server import ServeConfig
 
     if args.chaos_plan:
@@ -769,6 +785,7 @@ def serve_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 async def _serve_until_signalled(config, quiet: bool) -> int:
+    import asyncio
     import signal
 
     from repro.serve.server import DerivationServer
@@ -803,9 +820,11 @@ async def _serve_until_signalled(config, quiet: bool) -> int:
 # ----------------------------------------------------------------------
 # ``repro loadgen``
 # ----------------------------------------------------------------------
-def make_loadgen_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_loadgen(commands) -> None:
+    parser = commands.add_parser(
+        "loadgen",
         prog="repro loadgen",
+        help="closed-loop load generator for serve",
         description="Closed-loop load generator against a running "
         "`repro serve`: N connections each send one request at a time "
         "from a shared budget, and the run emits one repro.obs.loadgen/v2 "
@@ -851,37 +870,22 @@ def make_loadgen_parser() -> argparse.ArgumentParser:
         "--retry-seed", type=int, default=0, metavar="N",
         help="seed of the deterministic retry jitter (default %(default)s)",
     )
-    parser.add_argument(
-        "--mixed-choice", action="store_true",
-        help="request derivation with the arbiter-protocol R1 extension",
+    _shared(
+        parser, "--mixed-choice",
+        "request derivation with the arbiter-protocol R1 extension",
     )
-    parser.add_argument(
-        "--indent", type=int, default=2, metavar="N",
-        help="JSON indentation; 0 emits the compact one-line form",
-    )
+    _shared(parser, "--indent")
     _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_loadgen)
 
 
-def loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _loadgen_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
+def _loadgen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    import asyncio
 
-
-def _loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.serve.loadgen import render_digest, run_loadgen
 
-    args = make_loadgen_parser().parse_args(argv)
-    try:
-        text = (
-            sys.stdin.read()
-            if args.service == "-"
-            else open(args.service, encoding="utf-8").read()
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    text = _read_spec(args.service)
+    if text is None:
         return 2
     options = {"mixed_choice": True} if args.mixed_choice else None
     retry = None
@@ -904,8 +908,7 @@ def _loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
             retry=retry,
         )
     )
-    indent = args.indent if args.indent > 0 else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
+    _print_json(report, args.indent)
     if not args.quiet:
         print(render_digest(report), file=sys.stderr)
     if report["failed"]:
@@ -918,9 +921,11 @@ def _loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # ``repro chaos``
 # ----------------------------------------------------------------------
-def make_chaos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_chaos(commands) -> None:
+    parser = commands.add_parser(
+        "chaos",
         prog="repro chaos",
+        help="fault-injected resilience run against serve",
         description="Prove the serve stack's resilience under a named "
         "fault plan: boot an in-process server with deterministic fault "
         "injection active, fire a retrying loadgen burst while probing "
@@ -938,10 +943,7 @@ def make_chaos_parser() -> argparse.ArgumentParser:
         "--list-plans", action="store_true",
         help="print the built-in fault plans and exit",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-schedule seed (default %(default)s)",
-    )
+    _shared(parser, "--seed", "fault-schedule seed (default %(default)s)")
     parser.add_argument(
         "--spec", default=None, metavar="PATH",
         help="service specification to request (default: a tiny built-in)",
@@ -972,22 +974,14 @@ def make_chaos_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=5, metavar="N",
         help="client retry budget per request (default %(default)s)",
     )
-    parser.add_argument(
-        "--indent", type=int, default=2, metavar="N",
-        help="JSON indentation; 0 emits the compact one-line form",
-    )
+    _shared(parser, "--indent")
     _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_chaos)
 
 
-def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _chaos_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
+def _chaos(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    import asyncio
 
-
-def _chaos_main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.chaos import ChaosError, list_plans
     from repro.chaos.runner import (
         DEFAULT_SPEC,
@@ -998,13 +992,12 @@ def _chaos_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     from repro.serve.resilience import RetryPolicy
 
-    args = make_chaos_parser().parse_args(argv)
     if args.list_plans:
         for line in list_plans():
             print(line)
         return 0
     if args.plan is None:
-        make_chaos_parser().error("no fault plan given (see --list-plans)")
+        parser.error("no fault plan given (see --list-plans)")
     try:
         plan = resolve_plan(args.plan, args.seed)
     except ChaosError as exc:
@@ -1012,14 +1005,8 @@ def _chaos_main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     spec = DEFAULT_SPEC
     if args.spec is not None:
-        try:
-            spec = (
-                sys.stdin.read()
-                if args.spec == "-"
-                else open(args.spec, encoding="utf-8").read()
-            )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        spec = _read_spec(args.spec)
+        if spec is None:
             return 2
     retry = None
     if args.retries > 0:
@@ -1044,8 +1031,7 @@ def _chaos_main(argv: Optional[Sequence[str]] = None) -> int:
             retry=retry,
         )
     )
-    indent = args.indent if args.indent > 0 else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
+    _print_json(report, args.indent)
     if not args.quiet:
         print(render_digest(report), file=sys.stderr)
     return 0 if report["verdict"]["ok"] else 1
@@ -1054,9 +1040,11 @@ def _chaos_main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # ``repro lint``
 # ----------------------------------------------------------------------
-def make_lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _add_lint(commands) -> None:
+    parser = commands.add_parser(
+        "lint",
         prog="repro lint",
+        help="static analysis of a service specification",
         description="Static analysis of LOTOS service specifications: "
         "admissibility (R1-R3, grammar) plus lint rules for legal-but-"
         "suspect constructs.  See docs/lint.md for the rule catalogue.",
@@ -1077,10 +1065,10 @@ def make_lint_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit non-zero on warnings, not only on errors",
     )
-    parser.add_argument(
+    _shared(
+        parser,
         "--mixed-choice",
-        action="store_true",
-        help="lint for a --mixed-choice derivation (arbiter-resolvable "
+        "lint for a --mixed-choice derivation (arbiter-resolvable "
         "R1 violations and L009 are not reported)",
     )
     parser.add_argument(
@@ -1088,47 +1076,26 @@ def make_lint_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registered rules and exit",
     )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the report; the exit status is the verdict",
+    _add_common_flags(
+        parser, "suppress the report; the exit status is the verdict"
     )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {_package_version()}",
-    )
-    return parser
+    parser.set_defaults(handler=_lint)
 
 
-def lint_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _lint_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _lint_main(argv: Optional[Sequence[str]] = None) -> int:
+def _lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.analysis.lint import RULES, lint_text
 
-    args = make_lint_parser().parse_args(argv)
     if args.list_rules:
         for rule in sorted(RULES.values(), key=lambda r: r.id):
             print(f"{rule.id}  {rule.name:<26} {rule.severity:<8} {rule.summary}")
         return 0
     if not args.specs:
-        make_lint_parser().error("no specification files given")
+        parser.error("no specification files given")
 
     results = []
     for path in args.specs:
-        try:
-            text = (
-                sys.stdin.read()
-                if path == "-"
-                else open(path, encoding="utf-8").read()
-            )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        text = _read_spec(path)
+        if text is None:
             return 2
         results.append(
             lint_text(
@@ -1160,52 +1127,59 @@ def _lint_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # ----------------------------------------------------------------------
-# ``repro`` subcommand dispatcher
+# The ``repro`` tree and its entry points
 # ----------------------------------------------------------------------
-_USAGE = """usage: repro <command> [options]
-
-commands:
-  lint      static analysis of a service specification (repro lint --help)
-  derive    derive protocol entities, lotos-pg style (repro derive --help)
-  profile   derive + verify + run; one JSON report (repro profile --help)
-  batch     parallel, cached derivation of a corpus (repro batch --help)
-  serve     long-running asyncio derivation server (repro serve --help)
-  loadgen   closed-loop load generator for serve (repro loadgen --help)
-  chaos     fault-injected resilience run against serve (repro chaos --help)
-
-options:
-  --version print the package version and exit
-"""
+def _build_parser():
+    """The ``repro`` parser and its command parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        usage="%(prog)s <command> [options]",
+        epilog="Run `repro <command> --help` for the options of a command.",
+    )
+    parser.add_argument(
+        "-V", "--version", action=_VersionAction,
+        help="print the package version and exit",
+    )
+    commands = parser.add_subparsers(
+        title="commands", metavar="<command>"
+    )
+    for add in (_add_lint, _add_derive, _add_profile, _add_batch,
+                _add_serve, _add_loadgen, _add_chaos):
+        add(commands)
+    return parser, commands.choices
 
 
 def repro_main(argv: Optional[Sequence[str]] = None) -> int:
     arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
-    if not arguments or arguments[0] in ("-h", "--help"):
-        try:
-            print(_USAGE, end="")
-        except BrokenPipeError:
-            return _broken_pipe_exit()
-        return 0 if arguments else 2
-    if arguments[0] in ("--version", "-V"):
-        print(f"repro {_package_version()}")
-        return 0
-    command, rest = arguments[0], arguments[1:]
-    if command == "lint":
-        return lint_main(rest)
-    if command == "derive":
-        return main(rest)
-    if command == "profile":
-        return profile_main(rest)
-    if command == "batch":
-        return batch_main(rest)
-    if command == "serve":
-        return serve_main(rest)
-    if command == "loadgen":
-        return loadgen_main(rest)
-    if command == "chaos":
-        return chaos_main(rest)
-    print(f"error: unknown command {command!r}\n{_USAGE}", file=sys.stderr, end="")
-    return 2
+    parser, commands = _build_parser()
+    try:
+        if not arguments:
+            parser.print_help()
+            return 2
+        if arguments[0].startswith("-"):
+            # -h/--help and -V/--version print and exit; anything else
+            # is a usage error.  All of them end the run here.
+            try:
+                parser.parse_args(arguments[:1])
+            except SystemExit as stop:
+                return stop.code
+        command = commands.get(arguments[0])
+        if command is None:
+            print(f"error: unknown command {arguments[0]!r}", file=sys.stderr)
+            parser.print_help(sys.stderr)
+            return 2
+        # The command's own parser reads the rest, so its usage errors
+        # name it (`repro lint: error: ...`, `lotos-pg: error: ...`).
+        args = command.parse_args(arguments[1:])
+        return args.handler(args, command)
+    except BrokenPipeError:
+        return _broken_pipe_exit()
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``lotos-pg``: an argv alias of ``repro derive``."""
+    arguments = sys.argv[1:] if argv is None else argv
+    return repro_main(["derive", *arguments])
 
 
 if __name__ == "__main__":

@@ -58,10 +58,22 @@ class Behaviour:
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
         if cached is None:
-            values = tuple(getattr(self, name) for name in self._field_names())
+            # ``hash(None)`` is the object's address before Python 3.12:
+            # hash -1 in its place, so that a fixed PYTHONHASHSEED gives
+            # the same hash in every process.
+            values = tuple(
+                -1 if (value := getattr(self, name)) is None else value
+                for name in self._field_names()
+            )
             cached = hash((self.__class__.__qualname__, values))
             object.__setattr__(self, "_hash", cached)
         return cached
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: never ship the cache.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -59,7 +59,10 @@ class MediumState:
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.channels, self.capacity, self.discipline))
+            # -1 stands for an unbounded (None) capacity: ``hash(None)``
+            # is the object's address before Python 3.12.
+            capacity = -1 if self.capacity is None else self.capacity
+            cached = hash((self.channels, capacity, self.discipline))
             object.__setattr__(self, "_hash", cached)
         return cached
 

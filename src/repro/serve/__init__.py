@@ -17,8 +17,8 @@ HTTP/1.1 server, so heavy traffic pays that cost once:
   503 shedding, :class:`repro.batch.cache.EntityCache` reuse so a
   repeated spec never re-derives, graceful SIGTERM drain, and
   ``serve.*`` metrics;
-* **client** (:mod:`repro.serve.client`) — blocking and asyncio
-  clients speaking the ``repro.serve.request/v1`` /
+* **client** (:mod:`repro.serve.client`) — the asyncio client and
+  its blocking wrapper, speaking the ``repro.serve.request/v1`` /
   ``repro.serve.response/v1`` envelopes;
 * **loadgen** (:mod:`repro.serve.loadgen`) — the closed-loop load
   generator behind ``repro loadgen`` (latency percentiles, throughput,

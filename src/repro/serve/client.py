@@ -1,14 +1,15 @@
 """Clients for the derivation server.
 
-Two flavors, both standard-library only:
+One request core, standard-library only:
 
-* :class:`ServeClient` — a blocking client over ``http.client`` with
-  one persistent connection; the right tool for scripts, examples and
-  benchmarks;
 * :class:`AsyncServeClient` — an asyncio client over one persistent
   connection, sharing the server's own wire implementation
   (:func:`repro.serve.protocol.read_response`); the load generator
-  runs many of these concurrently.
+  runs many of these concurrently;
+* :class:`ServeClient` — a blocking wrapper that drives one
+  :class:`AsyncServeClient` on a private event loop; the right tool
+  for scripts, examples and benchmarks.  It may be called from any
+  thread that is not already running an event loop.
 
 Both speak the versioned envelopes (``repro.serve.request/v1`` in,
 ``repro.serve.response/v1`` out).  Transport failures raise
@@ -16,7 +17,9 @@ Both speak the versioned envelopes (``repro.serve.request/v1`` in,
 envelope carries ``ok``/``status``/``error`` and callers decide.  When
 the server sheds with ``Retry-After`` the parsed delay is surfaced as
 ``envelope["retry_after"]`` (seconds) so callers — and the retry layer
-— can honor it.
+— can honor it.  ``timeout`` bounds each attempt's connect and each
+attempt's response read; either one running out is a
+:class:`ServeError`.
 
 Both clients optionally take a :class:`repro.serve.resilience.RetryPolicy`
 and/or :class:`~repro.serve.resilience.CircuitBreaker`.  Without them
@@ -30,9 +33,7 @@ are retried under backoff and deadline budgets, and the final
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
-import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.obs.schema import SERVE_REQUEST_SCHEMA
@@ -68,200 +69,18 @@ def request_document(
     return document
 
 
-def _attach_retry_after(
-    parsed: Any, retry_after: Optional[float]
-) -> Optional[float]:
-    """Surface a parsed ``Retry-After`` on the envelope; returns it."""
+def _parse_envelope(
+    payload: bytes, retry_after_header: Optional[str]
+) -> Tuple[Dict[str, Any], Optional[float]]:
+    """The JSON body, with a parsed ``Retry-After`` surfaced on it."""
+    try:
+        parsed = json.loads(payload.decode("utf-8")) if payload else {}
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ServeError(f"non-JSON response body: {exc}") from exc
+    retry_after = parse_retry_after(retry_after_header)
     if retry_after is not None and isinstance(parsed, dict):
         parsed["retry_after"] = retry_after
-    return retry_after
-
-
-class ServeClient:
-    """Blocking client; one keep-alive connection, reconnects on demand."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8437,
-        timeout: float = 60.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self.breaker = breaker
-        self.last_retry: Optional[RetryState] = None
-        self._request_index = 0
-        self._connection: Optional[http.client.HTTPConnection] = None
-
-    # ------------------------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            timeout = self.timeout
-            if self.retry is not None and self.retry.per_attempt_timeout:
-                timeout = self.retry.per_attempt_timeout
-            self._connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout
-            )
-        return self._connection
-
-    def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        """One attempt (with the historical stale-keep-alive reconnect)."""
-        for attempt in (1, 2):  # one reconnect on a stale keep-alive
-            connection = self._connect()
-            try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                payload = response.read()
-                break
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                self.close()
-                if attempt == 2:
-                    raise ServeError(
-                        f"{method} {path} to {self.host}:{self.port} "
-                        f"failed: {exc}"
-                    ) from exc
-        try:
-            parsed = json.loads(payload.decode("utf-8")) if payload else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServeError(f"non-JSON response body: {exc}") from exc
-        retry_after = _attach_retry_after(
-            parsed, parse_retry_after(response.getheader("Retry-After"))
-        )
-        return response.status, parsed, retry_after
-
-    def _guarded_once(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        """One attempt through the circuit breaker (if any)."""
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit open for {self.host}:{self.port}"
-            )
-        try:
-            status, parsed, retry_after = self._request_once(
-                method, path, body, headers
-            )
-        except ServeError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            if status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return status, parsed, retry_after
-
-    def request(
-        self,
-        method: str,
-        path: str,
-        document: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        """One round trip; returns ``(status, parsed JSON body)``.
-
-        With a :class:`RetryPolicy` installed, retryable statuses and
-        transport errors are retried under backoff until the policy's
-        budgets run out; the final journey is ``self.last_retry``.
-        """
-        body = (
-            json.dumps(document).encode("utf-8")
-            if document is not None
-            else None
-        )
-        headers = {"Content-Type": "application/json"} if body else {}
-        if self.retry is None:
-            status, parsed, _ = self._guarded_once(method, path, body, headers)
-            return status, parsed
-        self._request_index += 1
-        state = self.retry.start(seed_offset=self._request_index)
-        self.last_retry = state
-        while True:
-            error: Optional[ServeError] = None
-            status: Optional[int] = None
-            parsed: Dict[str, Any] = {}
-            retry_after: Optional[float] = None
-            try:
-                status, parsed, retry_after = self._guarded_once(
-                    method, path, body, headers
-                )
-            except ServeError as exc:
-                error = exc
-                retry_after = exc.retry_after
-            state.record_attempt(status)
-            if error is None and not self.retry.retryable_status(status):
-                state.finish(recovered=state.retried and status < 400)
-                return status, parsed
-            delay = state.next_delay(retry_after)
-            if delay is None:  # budget spent: exhausted
-                state.finish(recovered=False)
-                if error is not None:
-                    raise error
-                return status, parsed
-            time.sleep(delay)
-
-    # ------------------------------------------------------------------
-    def _op(
-        self, op: str, spec: str, options: Optional[Mapping[str, Any]]
-    ) -> Dict[str, Any]:
-        _, envelope = self.request(
-            "POST", f"/v1/{op}", request_document(spec, options)
-        )
-        return envelope
-
-    def derive(
-        self, spec: str, options: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """Derive; returns the response envelope (check ``ok``)."""
-        return self._op("derive", spec, options)
-
-    def lint(
-        self, spec: str, options: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        return self._op("lint", spec, options)
-
-    def profile(
-        self, spec: str, options: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        return self._op("profile", spec, options)
-
-    def healthz(self) -> Dict[str, Any]:
-        status, document = self.request("GET", "/healthz")
-        if status != 200:
-            raise ServeError(f"/healthz answered {status}")
-        return document
-
-    def metrics(self) -> Dict[str, Any]:
-        status, document = self.request("GET", "/metrics")
-        if status != 200:
-            raise ServeError(f"/metrics answered {status}")
-        return document
+    return parsed, retry_after
 
 
 class AsyncServeClient:
@@ -293,14 +112,25 @@ class AsyncServeClient:
         await client._ensure_connected()
         return client
 
+    def _attempt_timeout(self) -> float:
+        if self.retry is not None and self.retry.per_attempt_timeout:
+            return self.retry.per_attempt_timeout
+        return self.timeout
+
     async def _ensure_connected(self) -> bool:
         """Connect if needed; returns True when the link was *reused*."""
         if self._writer is not None and not self._writer.is_closing():
             return True
+        timeout = self._attempt_timeout()
         try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
+            self._reader, self._writer = await asyncio.wait_for(
+                asyncio.open_connection(self.host, self.port), timeout=timeout
             )
+        except asyncio.TimeoutError as exc:
+            raise ServeError(
+                f"cannot connect to {self.host}:{self.port}: "
+                f"timed out after {timeout}s"
+            ) from exc
         except OSError as exc:
             raise ServeError(
                 f"cannot connect to {self.host}:{self.port}: {exc}"
@@ -337,9 +167,7 @@ class AsyncServeClient:
             f"Content-Length: {len(body)}\r\n"
             f"\r\n"
         ).encode("latin-1")
-        timeout = self.timeout
-        if self.retry is not None and self.retry.per_attempt_timeout:
-            timeout = self.retry.per_attempt_timeout
+        timeout = self._attempt_timeout()
         for attempt in (1, 2):
             reused = await self._ensure_connected()
             try:
@@ -370,18 +198,13 @@ class AsyncServeClient:
                 ) from exc
         if headers.get("connection", "").lower() == "close":
             await self.close()
-        try:
-            parsed = json.loads(payload.decode("utf-8")) if payload else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServeError(f"non-JSON response body: {exc}") from exc
-        retry_after = _attach_retry_after(
-            parsed, parse_retry_after(headers.get("retry-after"))
-        )
+        parsed, retry_after = _parse_envelope(payload, headers.get("retry-after"))
         return status, parsed, retry_after
 
     async def _guarded_once(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, Any], Optional[float]]:
+        """One attempt through the circuit breaker (if any)."""
         if self.breaker is not None and not self.breaker.allow():
             raise CircuitOpenError(
                 f"circuit open for {self.host}:{self.port}"
@@ -455,3 +278,91 @@ class AsyncServeClient:
         return await self.request(
             "POST", f"/v1/{op}", request_document(spec, options)
         )
+
+
+class ServeClient:
+    """Blocking client: drives one :class:`AsyncServeClient` (one
+    keep-alive connection, reconnects on demand) on a private event
+    loop, created on first use and closed by :meth:`close`."""
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 8437,
+        timeout: float = 60.0,
+        retry: Optional[RetryPolicy] = None,
+        breaker: Optional[CircuitBreaker] = None,
+    ) -> None:
+        self._client = AsyncServeClient(
+            host, port, timeout=timeout, retry=retry, breaker=breaker
+        )
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+
+    @property
+    def last_retry(self) -> Optional[RetryState]:
+        return self._client.last_retry
+
+    def _run(self, coroutine: Any) -> Any:
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        return self._loop.run_until_complete(coroutine)
+
+    def close(self) -> None:
+        if self._loop is not None:
+            self._loop.run_until_complete(self._client.close())
+            self._loop.close()
+            self._loop = None
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def request(
+        self,
+        method: str,
+        path: str,
+        document: Optional[Mapping[str, Any]] = None,
+    ) -> Tuple[int, Dict[str, Any]]:
+        """One round trip; returns ``(status, parsed JSON body)``.
+
+        With a :class:`RetryPolicy` installed, retryable statuses and
+        transport errors are retried under backoff until the policy's
+        budgets run out; the final journey is ``self.last_retry``.
+        """
+        return self._run(self._client.request(method, path, document))
+
+    def _op(
+        self, op: str, spec: str, options: Optional[Mapping[str, Any]]
+    ) -> Dict[str, Any]:
+        _, envelope = self._run(self._client.post_op(op, spec, options))
+        return envelope
+
+    def derive(
+        self, spec: str, options: Optional[Mapping[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """Derive; returns the response envelope (check ``ok``)."""
+        return self._op("derive", spec, options)
+
+    def lint(
+        self, spec: str, options: Optional[Mapping[str, Any]] = None
+    ) -> Dict[str, Any]:
+        return self._op("lint", spec, options)
+
+    def profile(
+        self, spec: str, options: Optional[Mapping[str, Any]] = None
+    ) -> Dict[str, Any]:
+        return self._op("profile", spec, options)
+
+    def healthz(self) -> Dict[str, Any]:
+        status, document = self.request("GET", "/healthz")
+        if status != 200:
+            raise ServeError(f"/healthz answered {status}")
+        return document
+
+    def metrics(self) -> Dict[str, Any]:
+        status, document = self.request("GET", "/metrics")
+        if status != 200:
+            raise ServeError(f"/metrics answered {status}")
+        return document

@@ -9,7 +9,7 @@ condition that makes a kept-alive client connection go stale.
 
 import asyncio
 import json
-import threading
+import time
 
 import pytest
 
@@ -322,3 +322,32 @@ class TestBreakerWiring:
 
         assert asyncio.run(scenario()) == 2
         assert thread_result.get("refused")
+
+
+class TestConnectTimeout:
+    """An unresponsive host: the connect is under the client timeout."""
+
+    @pytest.fixture()
+    def hanging_connect(self, monkeypatch):
+        async def never_connects(*args, **kwargs):
+            await asyncio.Event().wait()
+
+        monkeypatch.setattr(asyncio, "open_connection", never_connects)
+
+    def test_async_client_connect_times_out(self, hanging_connect):
+        async def scenario():
+            client = AsyncServeClient("127.0.0.1", 9, timeout=0.2)
+            started = time.monotonic()
+            with pytest.raises(ServeError, match="timed out"):
+                # The outer bound only keeps a regression from hanging.
+                await asyncio.wait_for(client.request("GET", "/healthz"), 10)
+            return time.monotonic() - started
+
+        assert asyncio.run(scenario()) < 2.0
+
+    def test_sync_client_connect_times_out(self, hanging_connect):
+        started = time.monotonic()
+        with ServeClient("127.0.0.1", 9, timeout=0.2) as client:
+            with pytest.raises(ServeError, match="timed out"):
+                client.healthz()
+        assert time.monotonic() - started < 2.0

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import lint_main, main, repro_main
+from repro.cli import main, repro_main
 
 CLEAN = """SPEC S [> interrupt3; exit WHERE
   PROC S = (read1; push2; S >> pop2; write3; exit)
@@ -41,34 +41,34 @@ class TestLintCommand:
         assert out.strip() == f"{path}: 0 error(s), 0 warning(s), 0 info(s)"
 
     def test_warnings_exit_zero_by_default(self, spec_file, capsys):
-        assert lint_main([spec_file(WARNING_ONLY)]) == 0
+        assert repro_main(["lint", spec_file(WARNING_ONLY)]) == 0
         out = capsys.readouterr().out
         assert "[L001]" in out and "1 warning(s)" in out
 
     def test_strict_turns_warnings_into_failure(self, spec_file):
-        assert lint_main([spec_file(WARNING_ONLY), "--strict"]) == 1
+        assert repro_main(["lint", spec_file(WARNING_ONLY), "--strict"]) == 1
 
     def test_errors_exit_one(self, spec_file, capsys):
-        assert lint_main([spec_file(MIXED)]) == 1
+        assert repro_main(["lint", spec_file(MIXED)]) == 1
         out = capsys.readouterr().out
         assert "[R1]" in out and "[L009]" in out
 
     def test_mixed_choice_mode(self, spec_file, capsys):
-        assert lint_main([spec_file(MIXED), "--mixed-choice"]) == 0
+        assert repro_main(["lint", spec_file(MIXED), "--mixed-choice"]) == 0
         out = capsys.readouterr().out
         assert "[R1]" not in out and "[L009]" not in out
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
-        assert lint_main([str(tmp_path / "nope.lotos")]) == 2
+        assert repro_main(["lint", str(tmp_path / "nope.lotos")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_stdin_dash(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(WARNING_ONLY))
-        assert lint_main(["-"]) == 0
+        assert repro_main(["lint", "-"]) == 0
         assert "<stdin>:2:8:" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
+        assert repro_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in ("L001", "L011"):
             assert rule_id in out
@@ -76,7 +76,7 @@ class TestLintCommand:
 
     def test_json_output_parses(self, spec_file, capsys):
         path = spec_file(WARNING_ONLY)
-        assert lint_main([path, "--format", "json"]) == 0
+        assert repro_main(["lint", path, "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == 1
         assert document["source"] == path
@@ -87,13 +87,13 @@ class TestLintCommand:
 
     def test_json_multi_file_document(self, spec_file, capsys):
         paths = [spec_file(CLEAN, "a.lotos"), spec_file(MIXED, "b.lotos")]
-        assert lint_main([*paths, "--format", "json"]) == 1
+        assert repro_main(["lint", *paths, "--format", "json"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == 1
         assert [r["source"] for r in document["results"]] == paths
 
     def test_multiple_files_worst_exit_wins(self, spec_file):
-        assert lint_main([spec_file(CLEAN, "a.lotos"), spec_file(MIXED, "b.lotos")]) == 1
+        assert repro_main(["lint", spec_file(CLEAN, "a.lotos"), spec_file(MIXED, "b.lotos")]) == 1
 
 
 class TestReproDispatch:
